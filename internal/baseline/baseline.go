@@ -84,25 +84,19 @@ func AltitudeEKF(trace *sensors.Trace, s []float64, cfg AltEKFConfig) (*Result, 
 	model := kalman.Model{
 		StateDim: 3,
 		MeasDim:  2,
-		Predict: func(x []float64) []float64 {
+		Predict: func(x [3]float64) (fx [3]float64, fj [3][3]float64) {
 			v, z, theta := x[0], x[1], clamp(x[2])
-			return []float64{
-				math.Max(0, v+(accel-vehicle.Gravity*math.Sin(theta))*dt),
-				z + v*math.Sin(theta)*dt,
-				theta,
-			}
-		},
-		PredictJacobian: func(x []float64) *mat.Matrix {
-			v, theta := x[0], clamp(x[2])
-			return mat.FromRows([][]float64{
-				{1, 0, -vehicle.Gravity * math.Cos(theta) * dt},
-				{math.Sin(theta) * dt, 1, v * math.Cos(theta) * dt},
+			sin, cos := math.Sincos(theta)
+			fx = [3]float64{math.Max(0, v+(accel-vehicle.Gravity*sin)*dt), z + v*sin*dt, theta}
+			fj = [3][3]float64{
+				{1, 0, -vehicle.Gravity * cos * dt},
+				{sin * dt, 1, v * cos * dt},
 				{0, 0, 1},
-			})
+			}
+			return fx, fj
 		},
-		Measure: func(x []float64) []float64 { return []float64{x[0], x[1]} },
-		MeasureJacobian: func(x []float64) *mat.Matrix {
-			return mat.FromRows([][]float64{{1, 0, 0}, {0, 1, 0}})
+		Measure: func(x [3]float64) ([2]float64, [2][3]float64) {
+			return [2]float64{x[0], x[1]}, [2][3]float64{{1, 0, 0}, {0, 1, 0}}
 		},
 	}
 	first := trace.Records[0]

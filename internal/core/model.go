@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"roadgrade/internal/kalman"
-	"roadgrade/internal/mat"
 	"roadgrade/internal/vehicle"
 )
 
@@ -34,44 +33,34 @@ type GradeModel struct {
 	Accel float64
 }
 
-// kalmanModel adapts GradeModel to the generic EKF interface. The closures
-// reuse one output buffer per function, as the kalman.Model contract allows —
-// the filter runs one predict/update pair per sensor tick, and these
-// allocations dominated its heap profile. All inputs are read into locals
-// before the shared buffer is written, so aliasing x with a previous output
-// is safe.
+// kalmanModel adapts GradeModel to the fixed-size EKF interface. Predict
+// evaluates sinθ and cosθ once for both the transition and its Jacobian.
 func (g *GradeModel) kalmanModel() kalman.Model {
-	predictOut := make([]float64, 2)
-	fj := mat.FromRows([][]float64{{1, 0}, {0, 1}})
-	measureOut := make([]float64, 1)
-	hj := mat.FromRows([][]float64{{1, 0}})
 	return kalman.Model{
 		StateDim: 2,
 		MeasDim:  1,
-		Predict: func(x []float64) []float64 {
+		Predict: func(x [3]float64) (fx [3]float64, fj [3][3]float64) {
 			v, theta := x[0], clampGrade(x[1])
-			vNext := v + (g.Accel-vehicle.Gravity*math.Sin(theta))*g.DT
-			thetaNext := theta + g.Params.GradeDrift(v, g.Accel, theta)*g.DT
-			predictOut[0] = math.Max(0, vNext)
-			predictOut[1] = clampGrade(thetaNext)
-			return predictOut
+			sin, cos := math.Sincos(theta)
+			p := g.Params
+			vNext := v + (g.Accel-vehicle.Gravity*sin)*g.DT
+			// Eq. (4), vehicle.Params.GradeDrift, with the shared cosθ.
+			drift := p.AirDensity * p.FrontalAreaM2 * p.DragCoeff * v * g.Accel / (p.MassKg * vehicle.Gravity * cos)
+			thetaNext := theta + drift*g.DT
+			fx[0] = math.Max(0, vNext)
+			fx[1] = clampGrade(thetaNext)
+			k := p.AirDensity * p.FrontalAreaM2 * p.DragCoeff / (p.MassKg * vehicle.Gravity)
+			fj[0][0] = 1
+			fj[0][1] = -vehicle.Gravity * cos * g.DT
+			fj[1][0] = k * g.Accel * g.DT / cos
+			fj[1][1] = 1 + k*v*g.Accel*g.DT*sin/(cos*cos)
+			return fx, fj
 		},
-		PredictJacobian: func(x []float64) *mat.Matrix {
-			v, theta := x[0], clampGrade(x[1])
-			cos := math.Cos(theta)
-			k := g.Params.AirDensity * g.Params.FrontalAreaM2 * g.Params.DragCoeff /
-				(g.Params.MassKg * vehicle.Gravity)
-			fj.Set(0, 0, 1)
-			fj.Set(0, 1, -vehicle.Gravity*cos*g.DT)
-			fj.Set(1, 0, k*g.Accel*g.DT/cos)
-			fj.Set(1, 1, 1+k*v*g.Accel*g.DT*math.Sin(theta)/(cos*cos))
-			return fj
+		Measure: func(x [3]float64) (hx [2]float64, hj [2][3]float64) {
+			hx[0] = x[0]
+			hj[0][0] = 1
+			return hx, hj
 		},
-		Measure: func(x []float64) []float64 {
-			measureOut[0] = x[0]
-			return measureOut
-		},
-		MeasureJacobian: func(x []float64) *mat.Matrix { return hj },
 	}
 }
 

@@ -315,8 +315,7 @@ func (p *Pipeline) EstimateTrack(trace *sensors.Trace, adj *Adjusted, src sensor
 		sigma = sourceNoise(src)
 	}
 	// One model + filter serves both sweep directions: the backward pass
-	// resets the state/covariance and flips the model's Δt, reusing the
-	// filter's scratch buffers instead of rebuilding everything.
+	// resets the state/covariance and flips the model's Δt.
 	dt := trace.DT
 	model := &GradeModel{Params: p.cfg.Params, DT: dt}
 	q := mat.Diag(
@@ -400,12 +399,12 @@ type passResult struct {
 // value, measurements are innovation-gated, and a diverged filter (non-finite
 // state or implausible grade) is re-initialized from the last good speed
 // instead of poisoning the rest of the pass.
-func (p *Pipeline) runPass(trace *sensors.Trace, vels []sensors.VelSample, corrected []float64, sigma float64, reverse bool, model *GradeModel, f *kalman.Filter, p0 *mat.Matrix) (passResult, error) {
+func (p *Pipeline) runPass(trace *sensors.Trace, vels []sensors.VelSample, corrected []float64, sigma float64, reverse bool, model *GradeModel, f *kalman.Filter, p0 mat.Mat) (passResult, error) {
 	n := len(trace.Records)
 	res := passResult{grade: make([]float64, n), vari: make([]float64, n)}
 	var nisSum float64
 	var nisN int
-	z := make([]float64, 1)
+	var z [1]float64
 	lastAccel := 0.0
 	lastGoodV := f.StateAt(0) // the caller's (finite) initial speed
 	for step := 0; step < n; step++ {
@@ -422,7 +421,7 @@ func (p *Pipeline) runPass(trace *sensors.Trace, vels []sensors.VelSample, corre
 		if vels[i].Valid {
 			priorVar := f.CovarianceAt(0, 0)
 			z[0] = corrected[i]
-			innov, accepted, err := f.UpdateGated(z, p.cfg.NISGate)
+			innov, accepted, err := f.UpdateGated(z[:], p.cfg.NISGate)
 			if err != nil {
 				return passResult{}, fmt.Errorf("core: EKF update at t=%.2f: %w", rec.T, err)
 			}

@@ -3,6 +3,10 @@
 // generic over a user-supplied nonlinear process/measurement model with
 // analytic Jacobians, and uses the Joseph-form covariance update for
 // numerical robustness over long traces.
+//
+// State, covariance and every intermediate live in fixed-size mat arrays (at
+// most MaxState states and MaxMeas measurements), so a predict/update step
+// runs on the stack without allocating.
 package kalman
 
 import (
@@ -13,6 +17,16 @@ import (
 	"roadgrade/internal/mat"
 	"roadgrade/internal/obs"
 )
+
+// MaxState and MaxMeas bound the model dimensions the filter carries.
+const (
+	MaxState = mat.N
+	MaxMeas  = 2
+)
+
+// ErrSingular is returned (wrapped) when the innovation covariance is
+// singular to working precision.
+var ErrSingular = mat.ErrSingular
 
 // nisHist is the distribution of normalized innovation squared across every
 // gated update in the process — the filter-consistency signal (NIS ≈ 1 when
@@ -25,112 +39,90 @@ var nisHist = obs.Default.Histogram("kalman_nis", obs.NISBuckets)
 //	x(t+1) = f(x(t)) + w,  w ~ N(0, Q)
 //	z(t)   = h(x(t)) + v,  v ~ N(0, R)
 //
-// with analytic Jacobians F = ∂f/∂x and H = ∂h/∂x.
-//
-// Implementations may reuse one Matrix/slice buffer across calls of the
-// same function (the hot models do, to keep the per-tick allocation count
-// at zero); callers that retain a returned value past the next call must
-// clone it.
+// with analytic Jacobians F = ∂f/∂x and H = ∂h/∂x. Vectors and matrices are
+// read and written in their leading StateDim/MeasDim components; the rest
+// must stay zero.
 type Model struct {
 	StateDim int
 	MeasDim  int
-	// Predict evaluates f.
-	Predict func(x []float64) []float64
-	// PredictJacobian evaluates F at x.
-	PredictJacobian func(x []float64) *mat.Matrix
-	// Measure evaluates h.
-	Measure func(x []float64) []float64
-	// MeasureJacobian evaluates H at x.
-	MeasureJacobian func(x []float64) *mat.Matrix
+	// Predict evaluates f and its Jacobian F at x, so shared terms (sinθ,
+	// cosθ) are computed once per step.
+	Predict func(x [MaxState]float64) (fx [MaxState]float64, fj [MaxState][MaxState]float64)
+	// Measure evaluates h and its Jacobian H at x.
+	Measure func(x [MaxState]float64) (hx [MaxMeas]float64, hj [MaxMeas][MaxState]float64)
 }
 
 // Validate reports whether the model is complete.
 func (m Model) Validate() error {
 	switch {
-	case m.StateDim <= 0:
-		return fmt.Errorf("kalman: state dimension %d must be positive", m.StateDim)
-	case m.MeasDim <= 0:
-		return fmt.Errorf("kalman: measurement dimension %d must be positive", m.MeasDim)
-	case m.Predict == nil || m.PredictJacobian == nil:
-		return errors.New("kalman: Predict and PredictJacobian are required")
-	case m.Measure == nil || m.MeasureJacobian == nil:
-		return errors.New("kalman: Measure and MeasureJacobian are required")
+	case m.StateDim <= 0 || m.StateDim > MaxState:
+		return fmt.Errorf("kalman: state dimension %d outside [1, %d]", m.StateDim, MaxState)
+	case m.MeasDim <= 0 || m.MeasDim > MaxMeas:
+		return fmt.Errorf("kalman: measurement dimension %d outside [1, %d]", m.MeasDim, MaxMeas)
+	case m.Predict == nil:
+		return errors.New("kalman: Predict is required")
+	case m.Measure == nil:
+		return errors.New("kalman: Measure is required")
 	}
 	return nil
 }
 
 // Filter is an EKF instance. Not safe for concurrent use.
 type Filter struct {
-	model Model
-	x     []float64
-	p     *mat.Matrix
-	q     *mat.Matrix
-	r     *mat.Matrix
-
-	// Scratch buffers reused across steps (and across Reset): the filter
-	// runs a predict/update pair per sensor tick, and allocating the
-	// intermediates dominated the evaluation suite's heap churn.
-	scr scratch
-}
-
-// scratch holds the intermediates of one predict/update step.
-type scratch struct {
-	nnA, nnB, nnC, nnD *mat.Matrix // n×n intermediates
-	nnT                *mat.Matrix // n×n transpose scratch
-	eye                *mat.Matrix // n×n identity (constant)
-	mnHP               *mat.Matrix // m×n  H·P
-	nmHT               *mat.Matrix // n×m  Hᵀ
-	nmPHT              *mat.Matrix // n×m  P·Hᵀ
-	nmK                *mat.Matrix // n×m  gain
-	nmKR               *mat.Matrix // n×m  K·R
-	mnKT               *mat.Matrix // m×n  Kᵀ
-	mmS                *mat.Matrix // m×m  innovation covariance
-	mmSInv             *mat.Matrix // m×m
-	innov, kv          []float64
+	model   Model
+	n, m    int
+	x       [MaxState]float64
+	p, q, r mat.Mat
+	innov   mat.Vec
 }
 
 // NewFilter builds a filter with initial state x0, initial covariance p0,
-// process noise q and measurement noise r.
-func NewFilter(model Model, x0 []float64, p0, q, r *mat.Matrix) (*Filter, error) {
+// process noise q and measurement noise r. Each matrix must be finite and
+// zero outside its leading n×n (r: m×m) block.
+func NewFilter(model Model, x0 []float64, p0, q, r [MaxState][MaxState]float64) (*Filter, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
 	n, m := model.StateDim, model.MeasDim
-	if len(x0) != n {
-		return nil, fmt.Errorf("kalman: x0 has dim %d, want %d", len(x0), n)
+	if err := checkBlock("q", &q, n); err != nil {
+		return nil, err
 	}
-	for name, mm := range map[string]*mat.Matrix{"p0": p0, "q": q} {
-		if mm == nil || mm.Rows() != n || mm.Cols() != n {
-			return nil, fmt.Errorf("kalman: %s must be %dx%d", name, n, n)
+	if err := checkBlock("r", &r, m); err != nil {
+		return nil, err
+	}
+	f := &Filter{model: model, n: n, m: m, q: q, r: r}
+	if err := f.Reset(x0, p0); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// checkBlock rejects a matrix with non-finite entries or non-zero entries
+// outside its leading dim×dim block.
+func checkBlock(name string, a *mat.Mat, dim int) error {
+	for i := range a {
+		for j, v := range a[i] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("kalman: %s has non-finite entry (%d,%d)", name, i, j)
+			}
+			if (i >= dim || j >= dim) && v != 0 {
+				return fmt.Errorf("kalman: %s must be %dx%d, has entry (%d,%d)", name, dim, dim, i, j)
+			}
 		}
 	}
-	if r == nil || r.Rows() != m || r.Cols() != m {
-		return nil, fmt.Errorf("kalman: r must be %dx%d", m, m)
-	}
-	return &Filter{
-		model: model,
-		x:     mat.CloneVec(x0),
-		p:     p0.Clone(),
-		q:     q.Clone(),
-		r:     r.Clone(),
-		scr:   scratch{eye: mat.Identity(n)},
-	}, nil
+	return nil
 }
 
 // Predict advances the state one step through the process model.
 func (f *Filter) Predict() {
-	s := &f.scr
-	fj := f.model.PredictJacobian(f.x)
-	f.x = f.model.Predict(f.x)
-	if len(f.x) != f.model.StateDim {
-		panic(fmt.Sprintf("kalman: Predict returned dim %d, want %d", len(f.x), f.model.StateDim))
-	}
+	n := f.n
+	x, fj := f.model.Predict(f.x)
+	f.x = x
 	// P = F P Fᵀ + Q
-	s.nnA = mat.MulInto(s.nnA, fj, f.p)
-	s.nnT = mat.TransposeInto(s.nnT, fj)
-	s.nnB = mat.MulInto(s.nnB, s.nnA, s.nnT)
-	s.nnB = mat.SumInto(s.nnB, s.nnB, f.q)
-	f.p = mat.SymmetrizeInto(f.p, s.nnB)
+	fp := mat.Mul(&fj, &f.p, n, n, n)
+	fpf := mat.MulT(&fp, &fj, n, n, n)
+	mat.AddTo(&fpf, &f.q, n, n)
+	f.p = mat.Symmetrize(&fpf, n)
 }
 
 // Update folds in measurement z and returns the innovation z − h(x). The
@@ -149,93 +141,86 @@ func (f *Filter) Update(z []float64) ([]float64, error) {
 // corrupting the filter. The returned innovation is a scratch buffer valid
 // until the next update; clone it to retain.
 func (f *Filter) UpdateGated(z []float64, gate float64) (innov []float64, accepted bool, err error) {
-	if len(z) != f.model.MeasDim {
-		return nil, false, fmt.Errorf("kalman: measurement dim %d, want %d", len(z), f.model.MeasDim)
+	n, m := f.n, f.m
+	if len(z) != m {
+		return nil, false, fmt.Errorf("kalman: measurement dim %d, want %d", len(z), m)
 	}
 	for _, v := range z {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, false, nil
 		}
 	}
-	s := &f.scr
-	h := f.model.MeasureJacobian(f.x)
-	pred := f.model.Measure(f.x)
-	s.innov = mat.SubVecInto(s.innov, z, pred)
+	pred, hm := f.model.Measure(f.x)
+	var h mat.Mat
+	for i := 0; i < m; i++ {
+		f.innov[i] = z[i] - pred[i]
+		h[i] = hm[i]
+	}
+	nu := &f.innov
 
 	// S = H P Hᵀ + R
-	s.nmHT = mat.TransposeInto(s.nmHT, h)
-	s.mnHP = mat.MulInto(s.mnHP, h, f.p)
-	s.mmS = mat.MulInto(s.mmS, s.mnHP, s.nmHT)
-	s.mmS = mat.SumInto(s.mmS, s.mmS, f.r)
-	var sInv *mat.Matrix
-	if f.model.MeasDim == 1 {
-		// 1×1 inverse inline; same result (and same singularity test) as the
-		// LU path below, without the factorization allocations.
-		s00 := s.mmS.At(0, 0)
-		if s00 == 0 || math.IsNaN(s00) {
-			return nil, false, fmt.Errorf("kalman: innovation covariance singular: %w", mat.ErrSingular)
-		}
-		if s.mmSInv == nil {
-			s.mmSInv = mat.New(1, 1)
-		}
-		s.mmSInv.Set(0, 0, 1/s00)
-		sInv = s.mmSInv
-	} else {
-		var err error
-		sInv, err = mat.Inverse(s.mmS)
-		if err != nil {
-			return nil, false, fmt.Errorf("kalman: innovation covariance singular: %w", err)
-		}
+	hp := mat.Mul(&h, &f.p, m, n, n)
+	s := mat.MulT(&hp, &h, m, n, m)
+	mat.AddTo(&s, &f.r, m, m)
+	var sInv mat.Mat
+	switch {
+	case m > 1:
+		sInv, err = mat.Inverse(&s, m)
+	case s[0][0] == 0 || math.IsNaN(s[0][0]):
+		err = ErrSingular
+	default:
+		sInv[0][0] = 1 / s[0][0] // the 1×1 inverse, inline
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("kalman: innovation covariance singular: %w", err)
 	}
 	if gate > 0 {
 		// νᵀ S⁻¹ ν — for the common 1-D case this is ν²/S.
-		var nis float64
-		for i := 0; i < f.model.MeasDim; i++ {
-			var row float64
-			for j := 0; j < f.model.MeasDim; j++ {
-				row += sInv.At(i, j) * s.innov[j]
-			}
-			nis += s.innov[i] * row
-		}
+		sn := mat.MulVec(&sInv, nu, m, m)
+		nis := mat.Dot(nu, &sn, m)
 		nisHist.Observe(nis)
 		if nis > gate {
-			return s.innov, false, nil
+			return nu[:m], false, nil
 		}
 	}
 	// K = P Hᵀ S⁻¹
-	s.nmPHT = mat.MulInto(s.nmPHT, f.p, s.nmHT)
-	s.nmK = mat.MulInto(s.nmK, s.nmPHT, sInv)
+	pht := mat.MulT(&f.p, &h, n, n, m)
+	k := mat.Mul(&pht, &sInv, n, m, m)
 	// x += K·innov
-	s.kv = mat.MulVecInto(s.kv, s.nmK, s.innov)
-	for i := range f.x {
-		f.x[i] += s.kv[i]
+	kv := mat.MulVec(&k, nu, n, m)
+	for i := 0; i < n; i++ {
+		f.x[i] += kv[i]
 	}
 	// Joseph form: P = (I−KH) P (I−KH)ᵀ + K R Kᵀ
-	s.nnA = mat.MulInto(s.nnA, s.nmK, h)
-	s.nnB = mat.SubInto(s.nnB, s.eye, s.nnA)
-	s.nnC = mat.MulInto(s.nnC, s.nnB, f.p)
-	s.nnT = mat.TransposeInto(s.nnT, s.nnB)
-	s.nnD = mat.MulInto(s.nnD, s.nnC, s.nnT)
-	s.nmKR = mat.MulInto(s.nmKR, s.nmK, f.r)
-	s.mnKT = mat.TransposeInto(s.mnKT, s.nmK)
-	s.nnA = mat.MulInto(s.nnA, s.nmKR, s.mnKT)
-	s.nnD = mat.SumInto(s.nnD, s.nnD, s.nnA)
-	f.p = mat.SymmetrizeInto(f.p, s.nnD)
-	return s.innov, true, nil
+	kh := mat.Mul(&k, &h, n, m, n)
+	var ikh mat.Mat
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var eye float64
+			if i == j {
+				eye = 1
+			}
+			ikh[i][j] = eye - kh[i][j]
+		}
+	}
+	ikhP := mat.Mul(&ikh, &f.p, n, n, n)
+	joseph := mat.MulT(&ikhP, &ikh, n, n, n)
+	kr := mat.Mul(&k, &f.r, n, m, m)
+	krk := mat.MulT(&kr, &k, n, m, n)
+	mat.AddTo(&joseph, &krk, n, n)
+	f.p = mat.Symmetrize(&joseph, n)
+	return nu[:m], true, nil
 }
 
 // Healthy reports whether the state and covariance are finite — the
 // divergence test callers run before trusting (or resetting) the filter.
 func (f *Filter) Healthy() bool {
-	for _, v := range f.x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+	for i := 0; i < f.n; i++ {
+		if v := f.x[i]; math.IsNaN(v) || math.IsInf(v, 0) {
 			return false
 		}
-	}
-	n := f.model.StateDim
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if v := f.p.At(i, j); math.IsNaN(v) || math.IsInf(v, 0) {
+		for j := 0; j < f.n; j++ {
+			if v := f.p[i][j]; math.IsNaN(v) || math.IsInf(v, 0) {
 				return false
 			}
 		}
@@ -244,39 +229,37 @@ func (f *Filter) Healthy() bool {
 }
 
 // State returns a copy of the current state estimate.
-func (f *Filter) State() []float64 { return mat.CloneVec(f.x) }
+func (f *Filter) State() []float64 { return append([]float64(nil), f.x[:f.n]...) }
 
 // StateAt returns one component of the state estimate without copying.
 func (f *Filter) StateAt(i int) float64 { return f.x[i] }
 
 // SetState overwrites the state estimate (e.g. re-anchoring after a gap).
 func (f *Filter) SetState(x []float64) error {
-	if len(x) != f.model.StateDim {
-		return fmt.Errorf("kalman: state dim %d, want %d", len(x), f.model.StateDim)
+	if len(x) != f.n {
+		return fmt.Errorf("kalman: state dim %d, want %d", len(x), f.n)
 	}
-	f.x = mat.CloneVec(x)
+	copy(f.x[:], x)
 	return nil
 }
 
-// Covariance returns a copy of the current estimate covariance.
-func (f *Filter) Covariance() *mat.Matrix { return f.p.Clone() }
+// Covariance returns the current estimate covariance.
+func (f *Filter) Covariance() [MaxState][MaxState]float64 { return f.p }
 
-// CovarianceAt returns one element of the estimate covariance without
-// copying the matrix.
-func (f *Filter) CovarianceAt(i, j int) float64 { return f.p.At(i, j) }
+// CovarianceAt returns one element of the estimate covariance.
+func (f *Filter) CovarianceAt(i, j int) float64 { return f.p[i][j] }
 
-// Reset reinitializes the state and covariance, keeping the model, noise
-// matrices and scratch buffers. It lets one filter run several passes (e.g.
-// the forward/backward sweeps of the two-pass estimator) without rebuilding.
-func (f *Filter) Reset(x0 []float64, p0 *mat.Matrix) error {
-	n := f.model.StateDim
-	if len(x0) != n {
-		return fmt.Errorf("kalman: x0 has dim %d, want %d", len(x0), n)
+// Reset reinitializes the state and covariance, keeping the model and noise
+// matrices. It lets one filter run several passes (e.g. the forward/backward
+// sweeps of the two-pass estimator) without rebuilding.
+func (f *Filter) Reset(x0 []float64, p0 [MaxState][MaxState]float64) error {
+	if len(x0) != f.n {
+		return fmt.Errorf("kalman: x0 has dim %d, want %d", len(x0), f.n)
 	}
-	if p0 == nil || p0.Rows() != n || p0.Cols() != n {
-		return fmt.Errorf("kalman: p0 must be %dx%d", n, n)
+	if err := checkBlock("p0", &p0, f.n); err != nil {
+		return err
 	}
-	copy(f.x, x0)
-	f.p = mat.CopyInto(f.p, p0)
+	copy(f.x[:], x0)
+	f.p = p0
 	return nil
 }

@@ -1,6 +1,7 @@
 package kalman
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,15 +15,11 @@ func constVelModel(dt float64) Model {
 	return Model{
 		StateDim: 2,
 		MeasDim:  1,
-		Predict: func(x []float64) []float64 {
-			return []float64{x[0] + dt*x[1], x[1]}
+		Predict: func(x [3]float64) ([3]float64, [3][3]float64) {
+			return [3]float64{x[0] + dt*x[1], x[1]}, [3][3]float64{{1, dt}, {0, 1}}
 		},
-		PredictJacobian: func(x []float64) *mat.Matrix {
-			return mat.FromRows([][]float64{{1, dt}, {0, 1}})
-		},
-		Measure: func(x []float64) []float64 { return []float64{x[0]} },
-		MeasureJacobian: func(x []float64) *mat.Matrix {
-			return mat.FromRows([][]float64{{1, 0}})
+		Measure: func(x [3]float64) ([2]float64, [2][3]float64) {
+			return [2]float64{x[0]}, [2][3]float64{{1, 0}}
 		},
 	}
 }
@@ -37,11 +34,11 @@ func TestModelValidate(t *testing.T) {
 		mutate func(*Model)
 	}{
 		{"state-dim", func(m *Model) { m.StateDim = 0 }},
+		{"state-dim-max", func(m *Model) { m.StateDim = MaxState + 1 }},
 		{"meas-dim", func(m *Model) { m.MeasDim = 0 }},
+		{"meas-dim-max", func(m *Model) { m.MeasDim = MaxMeas + 1 }},
 		{"predict", func(m *Model) { m.Predict = nil }},
-		{"predict-jac", func(m *Model) { m.PredictJacobian = nil }},
 		{"measure", func(m *Model) { m.Measure = nil }},
-		{"measure-jac", func(m *Model) { m.MeasureJacobian = nil }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -56,19 +53,19 @@ func TestModelValidate(t *testing.T) {
 
 func TestNewFilterValidation(t *testing.T) {
 	m := constVelModel(0.1)
-	p := mat.Identity(2)
-	q := mat.Scale(0.01, mat.Identity(2))
+	p := mat.Diag(1, 1)
+	q := mat.Diag(0.01, 0.01)
 	r := mat.Diag(0.5)
 	if _, err := NewFilter(m, []float64{0}, p, q, r); err == nil {
 		t.Error("wrong x0 dim should error")
 	}
-	if _, err := NewFilter(m, []float64{0, 0}, mat.Identity(3), q, r); err == nil {
+	if _, err := NewFilter(m, []float64{0, 0}, mat.Diag(1, 1, 1), q, r); err == nil {
 		t.Error("wrong p0 dim should error")
 	}
-	if _, err := NewFilter(m, []float64{0, 0}, p, nil, r); err == nil {
-		t.Error("nil q should error")
+	if _, err := NewFilter(m, []float64{0, 0}, p, mat.Diag(0.01, math.NaN()), r); err == nil {
+		t.Error("non-finite q should error")
 	}
-	if _, err := NewFilter(m, []float64{0, 0}, p, q, mat.Identity(2)); err == nil {
+	if _, err := NewFilter(m, []float64{0, 0}, p, q, mat.Diag(1, 1)); err == nil {
 		t.Error("wrong r dim should error")
 	}
 	bad := m
@@ -105,7 +102,7 @@ func TestFilterTracksConstantVelocity(t *testing.T) {
 	}
 	// Covariance must have contracted from the generous prior.
 	p := f.Covariance()
-	if p.At(0, 0) >= 10 || p.At(1, 1) >= 10 {
+	if p[0][0] >= 10 || p[1][1] >= 10 {
 		t.Errorf("covariance did not contract: %v", p)
 	}
 }
@@ -115,13 +112,11 @@ func TestFilterNonlinearMeasurement(t *testing.T) {
 	m := Model{
 		StateDim: 1,
 		MeasDim:  1,
-		Predict:  func(x []float64) []float64 { return []float64{x[0]} },
-		PredictJacobian: func(x []float64) *mat.Matrix {
-			return mat.Diag(1)
+		Predict: func(x [3]float64) ([3]float64, [3][3]float64) {
+			return [3]float64{x[0]}, [3][3]float64{{1}}
 		},
-		Measure: func(x []float64) []float64 { return []float64{x[0] * x[0]} },
-		MeasureJacobian: func(x []float64) *mat.Matrix {
-			return mat.Diag(2 * x[0])
+		Measure: func(x [3]float64) ([2]float64, [2][3]float64) {
+			return [2]float64{x[0] * x[0]}, [2][3]float64{{2 * x[0]}}
 		},
 	}
 	f, err := NewFilter(m, []float64{2.5}, mat.Diag(1), mat.Diag(1e-6), mat.Diag(0.01))
@@ -161,7 +156,7 @@ func TestCovarianceStaysPSD(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !mat.IsPSD(f.Covariance(), 1e-9) {
+		if p := f.Covariance(); !mat.IsPSD(&p, 2, 1e-9) {
 			t.Fatalf("covariance lost PSD at step %d", i)
 		}
 	}
@@ -213,8 +208,8 @@ func TestStateIsCopy(t *testing.T) {
 		t.Error("State aliases filter internals")
 	}
 	p := f.Covariance()
-	p.Set(0, 0, 99)
-	if f.Covariance().At(0, 0) == 99 {
+	p[0][0] = 99
+	if f.Covariance()[0][0] == 99 {
 		t.Error("Covariance aliases filter internals")
 	}
 }
@@ -226,10 +221,77 @@ func BenchmarkPredictUpdate(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	var z [1]float64
 	for i := 0; i < b.N; i++ {
 		f.Predict()
-		if _, err := f.Update([]float64{float64(i % 100)}); err != nil {
+		z[0] = float64(i % 100)
+		if _, err := f.Update(z[:]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestUpdateSingularInnovation(t *testing.T) {
+	// A measurement that does not see the state, with zero noise, makes
+	// S = H P Hᵀ + R zero: both the 1×1 and the 2×2 path must refuse it.
+	for _, m := range []int{1, 2} {
+		model := Model{
+			StateDim: 2,
+			MeasDim:  m,
+			Predict: func(x [3]float64) ([3]float64, [3][3]float64) {
+				return x, [3][3]float64{{1}, {0, 1}}
+			},
+			Measure: func(x [3]float64) ([2]float64, [2][3]float64) {
+				return [2]float64{}, [2][3]float64{}
+			},
+		}
+		f, err := NewFilter(model, []float64{1, 2}, mat.Diag(1, 1), mat.Diag(0, 0), [3][3]float64{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		z := make([]float64, m)
+		if _, err := f.Update(z); !errors.Is(err, ErrSingular) {
+			t.Errorf("%d measurements: err = %v, want ErrSingular", m, err)
+		}
+	}
+}
+
+func TestResetValidation(t *testing.T) {
+	f, err := NewFilter(constVelModel(0.1), []float64{0, 0}, mat.Diag(1, 1), mat.Diag(1, 1), mat.Diag(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Predict()
+	if err := f.Reset([]float64{4, 5}, mat.Diag(2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if f.StateAt(0) != 4 || f.StateAt(1) != 5 || f.CovarianceAt(0, 0) != 2 || f.CovarianceAt(1, 1) != 3 {
+		t.Errorf("Reset left state %v, covariance %v", f.State(), f.Covariance())
+	}
+	if err := f.Reset([]float64{1}, mat.Diag(1, 1)); err == nil {
+		t.Error("wrong x0 dim should error")
+	}
+	if err := f.Reset([]float64{1, 1}, mat.Diag(1, 1, 1)); err == nil {
+		t.Error("wrong p0 dim should error")
+	}
+}
+
+// TestStepAllocations guards the fixed-size filter: a predict/update step
+// runs on the stack.
+func TestStepAllocations(t *testing.T) {
+	f, err := NewFilter(constVelModel(0.1), []float64{0, 0}, mat.Diag(1, 1), mat.Diag(1e-4, 1e-4), mat.Diag(0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var z [1]float64
+	allocs := testing.AllocsPerRun(100, func() {
+		f.Predict()
+		z[0] += 0.01
+		if _, _, err := f.UpdateGated(z[:], 9); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Predict+UpdateGated allocates %v times per step, want 0", allocs)
 	}
 }

@@ -102,7 +102,7 @@ func TestHealthy(t *testing.T) {
 		t.Error("NaN state reported healthy")
 	}
 	f.x[0] = 0
-	f.p.Set(0, 1, math.Inf(1))
+	f.p[0][1] = math.Inf(1)
 	if f.Healthy() {
 		t.Error("Inf covariance reported healthy")
 	}

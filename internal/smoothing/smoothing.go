@@ -42,56 +42,64 @@ func NewLoess(span float64, degree int) (*Loess, error) {
 }
 
 // Smooth fits the smoother at every sample location and returns the smoothed
-// series. xs must be strictly increasing and the slices must be equal length.
+// series. xs must be finite and strictly increasing and the slices must be
+// equal length.
 func (l *Loess) Smooth(xs, ys []float64) ([]float64, error) {
-	if len(xs) != len(ys) {
-		return nil, fmt.Errorf("smoothing: length mismatch %d vs %d", len(xs), len(ys))
+	window, err := l.window(xs, ys)
+	if err != nil {
+		return nil, err
 	}
-	if len(xs) == 0 {
-		return nil, errors.New("smoothing: empty input")
-	}
-	for i := 1; i < len(xs); i++ {
-		if xs[i] <= xs[i-1] {
-			return nil, fmt.Errorf("smoothing: xs not strictly increasing at %d", i)
-		}
-	}
-	n := len(xs)
-	window := int(math.Ceil(l.Span * float64(n)))
-	if window < l.Degree+1 {
-		return nil, ErrBadSpan
-	}
-	if window > n {
-		window = n
-	}
-	out := make([]float64, n)
-	for i := range xs {
-		v, err := l.fitAt(xs, ys, xs[i], window)
-		if err != nil {
-			return nil, fmt.Errorf("smoothing: fit at index %d: %w", i, err)
-		}
-		out[i] = v
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = l.fitAt(xs, ys, x, window)
 	}
 	return out, nil
 }
 
-// At evaluates the smoother at an arbitrary x given the sample set.
+// At evaluates the smoother at an arbitrary finite x given the sample set,
+// which must satisfy Smooth's requirements.
 func (l *Loess) At(xs, ys []float64, x float64) (float64, error) {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return 0, errors.New("smoothing: invalid sample set")
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return 0, fmt.Errorf("smoothing: evaluation point %v not finite", x)
 	}
-	window := int(math.Ceil(l.Span * float64(len(xs))))
+	window, err := l.window(xs, ys)
+	if err != nil {
+		return 0, err
+	}
+	return l.fitAt(xs, ys, x, window), nil
+}
+
+// window validates a sample set and returns the number of samples in each
+// local fit.
+func (l *Loess) window(xs, ys []float64) (int, error) {
+	n := len(xs)
+	if n != len(ys) {
+		return 0, fmt.Errorf("smoothing: length mismatch %d vs %d", n, len(ys))
+	}
+	if n == 0 {
+		return 0, errors.New("smoothing: empty input")
+	}
+	for i := 1; i < n; i++ {
+		// Negated so that a NaN also fails.
+		if !(xs[i] > xs[i-1]) {
+			return 0, fmt.Errorf("smoothing: xs not strictly increasing at %d", i)
+		}
+	}
+	// Strictly increasing, so only the ends can be infinite.
+	if math.IsInf(xs[0], 0) || math.IsInf(xs[n-1], 0) {
+		return 0, errors.New("smoothing: xs not finite")
+	}
+	window := int(math.Ceil(l.Span * float64(n)))
 	if window < l.Degree+1 {
 		return 0, ErrBadSpan
 	}
-	if window > len(xs) {
-		window = len(xs)
-	}
-	return l.fitAt(xs, ys, x, window)
+	return min(window, n), nil
 }
 
 // fitAt performs one weighted polynomial fit centred at x over the nearest
-// window samples.
-func (l *Loess) fitAt(xs, ys []float64, x float64, window int) (float64, error) {
+// window samples. The normal equations are at most 3×3 and are solved on the
+// stack by mat's LU factorization with partial pivoting.
+func (l *Loess) fitAt(xs, ys []float64, x float64, window int) float64 {
 	lo, hi := nearestWindow(xs, x, window)
 	// Maximum distance in the window defines the tricube scale.
 	maxDist := math.Max(math.Abs(xs[lo]-x), math.Abs(xs[hi-1]-x))
@@ -101,48 +109,45 @@ func (l *Loess) fitAt(xs, ys []float64, x float64, window int) (float64, error) 
 		for i := lo; i < hi; i++ {
 			s += ys[i]
 		}
-		return s / float64(hi-lo), nil
+		return s / float64(hi-lo)
 	}
 
 	// Weighted normal equations for a degree-d polynomial in (t = xi - x):
-	// minimize Σ w_i (y_i - Σ_k c_k t^k)^2. The smoothed value is c_0.
-	p := l.Degree + 1
-	ata := mat.New(p, p)
-	atb := make([]float64, p)
-	basis := make([]float64, p)
+	// minimize Σ w_i (y_i - Σ_k c_k t^k)^2. The smoothed value is c_0. The
+	// sums always cover the quadratic basis; a linear fit solves only their
+	// leading 2×2 block.
+	var ata mat.Mat
+	var atb mat.Vec
 	for i := lo; i < hi; i++ {
 		t := xs[i] - x
 		w := tricube(math.Abs(t) / maxDist)
 		if w == 0 {
 			continue
 		}
-		basis[0] = 1
-		for k := 1; k < p; k++ {
-			basis[k] = basis[k-1] * t
-		}
-		for r := 0; r < p; r++ {
-			atb[r] += w * basis[r] * ys[i]
-			for c := 0; c < p; c++ {
-				ata.Add(r, c, w*basis[r]*basis[c])
+		basis := [3]float64{1, t, t * t}
+		for r, br := range basis {
+			wb := w * br
+			atb[r] += wb * ys[i]
+			for c, bc := range basis {
+				ata[r][c] += wb * bc
 			}
 		}
 	}
-	coef, err := mat.SolveVec(ata, atb)
-	if err != nil {
-		// Degenerate window (e.g. duplicate weights concentrated at edges):
-		// fall back to the weighted mean, which is always defined.
-		var sw, swy float64
-		for i := lo; i < hi; i++ {
-			w := tricube(math.Abs(xs[i]-x) / maxDist)
-			sw += w
-			swy += w * ys[i]
-		}
-		if sw == 0 {
-			return ys[(lo+hi)/2], nil
-		}
-		return swy / sw, nil
+	if c, err := mat.Solve(&ata, &atb, l.Degree+1); err == nil {
+		return c[0]
 	}
-	return coef[0], nil
+	// Degenerate window (e.g. duplicate weights concentrated at edges): fall
+	// back to the weighted mean, which is always defined.
+	var sw, swy float64
+	for i := lo; i < hi; i++ {
+		w := tricube(math.Abs(xs[i]-x) / maxDist)
+		sw += w
+		swy += w * ys[i]
+	}
+	if sw == 0 {
+		return ys[(lo+hi)/2]
+	}
+	return swy / sw
 }
 
 // nearestWindow returns [lo, hi) bounds of the `window` samples nearest to x.

@@ -102,19 +102,58 @@ func TestLoessReducesNoise(t *testing.T) {
 
 func TestLoessErrors(t *testing.T) {
 	l, _ := NewLoess(0.5, 2)
-	if _, err := l.Smooth([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("length mismatch should error")
+	tiny, _ := NewLoess(0.1, 2) // window smaller than degree+1
+	inc := []float64{1, 2, 3}
+	tests := []struct {
+		name   string
+		l      *Loess
+		xs, ys []float64
+		x      float64 // At's evaluation point
+		want   error   // nil: any error
+	}{
+		{"length mismatch", l, []float64{1, 2}, []float64{1}, 1, nil},
+		{"empty input", l, nil, nil, 0, nil},
+		{"non-increasing xs", l, []float64{1, 1, 2}, inc, 1, nil},
+		{"NaN in xs", l, []float64{1, math.NaN(), 2}, inc, 1, nil},
+		{"infinite xs", l, []float64{math.Inf(-1), 1, 2}, inc, 1, nil},
+		{"bad span", tiny, []float64{1, 2}, []float64{1, 2}, 1, ErrBadSpan},
 	}
-	if _, err := l.Smooth(nil, nil); err == nil {
-		t.Error("empty input should error")
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if _, err := tt.l.Smooth(tt.xs, tt.ys); err == nil || (tt.want != nil && !errors.Is(err, tt.want)) {
+				t.Errorf("Smooth: err = %v, want %v", err, tt.want)
+			}
+			if _, err := tt.l.At(tt.xs, tt.ys, tt.x); err == nil || (tt.want != nil && !errors.Is(err, tt.want)) {
+				t.Errorf("At: err = %v, want %v", err, tt.want)
+			}
+		})
 	}
-	if _, err := l.Smooth([]float64{1, 1, 2}, []float64{1, 2, 3}); err == nil {
-		t.Error("non-increasing xs should error")
+	// At also rejects a non-finite evaluation point on a valid sample set.
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := l.At(inc, inc, x); err == nil {
+			t.Errorf("At(%v) should error", x)
+		}
 	}
-	// Window smaller than degree+1.
-	tiny, _ := NewLoess(0.1, 2)
-	if _, err := tiny.Smooth([]float64{1, 2}, []float64{1, 2}); !errors.Is(err, ErrBadSpan) {
-		t.Errorf("want ErrBadSpan, got %v", err)
+}
+
+// TestSmoothAllocations guards the stack-resident local fits: Smooth
+// allocates only its output slice.
+func TestSmoothAllocations(t *testing.T) {
+	xs := linspace(0, 10, 200)
+	ys := make([]float64, len(xs))
+	for i, x := range xs {
+		ys[i] = math.Sin(x)
+	}
+	for _, degree := range []int{1, 2} {
+		l, _ := NewLoess(0.1, degree)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := l.Smooth(xs, ys); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("degree %d: Smooth allocates %v times, want 1 (the output)", degree, allocs)
+		}
 	}
 }
 

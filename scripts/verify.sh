@@ -65,6 +65,16 @@ echo "== go test -race (emission / pollutant routing gate) =="
 go test -race -count=1 -run 'TestOpMode|TestTripEmissions|TestEmission|TestRate|TestPollutant|TestPlanEmissions|TestMinNOx|TestObjective' \
     ./internal/emission ./internal/fuel ./internal/ecoroute ./internal/cloud
 
+echo "== go test (fixed-size estimator gate) =="
+# The EKF and the LOESS normal equations run on fixed-size stack arrays. The
+# pinned-bits tests hold the estimator outputs to recorded SHA-256 digests of
+# their Float64bits (batch, streaming, altitude baseline, lane-change
+# smoothing), and the allocation tests hold a filter step to zero heap
+# allocations and Smooth to its output slice; run them uncached so a changed
+# operation order or an escaping array fails with a focused report.
+go test -count=1 -run 'TestPinnedBits|Allocations' \
+    ./internal/kalman ./internal/core ./internal/smoothing ./internal/baseline
+
 echo "== go test -race =="
 go test -race ./...
 
