@@ -103,8 +103,8 @@ type RoadStatus struct {
 //
 // State is split across a power-of-two number of shards keyed by FNV-1a of
 // the road id; each shard has its own RWMutex and idempotency ring, and each
-// road keeps an incremental fusion.Accumulator plus generation-stamped fused
-// caches. A GET therefore costs O(cells) worst case (first read after a
+// road keeps an incremental fusion.RobustAccumulator plus generation-stamped
+// fused caches. A GET therefore costs O(cells) worst case (first read after a
 // submission) and a cache hit otherwise, independent of how many submissions
 // the road has — the batch FuseProfiles never runs on the read path.
 type Server struct {
@@ -125,9 +125,7 @@ type Server struct {
 	totalGen atomic.Uint64
 
 	// router, when set via EnableRouting, serves GET /v1/route;
-	// routeQueries counts answered queries labeled by the engine's search
-	// algorithm (alt/cch), so dashboards can attribute latency shifts to an
-	// engine switch.
+	// routeQueries counts answered queries.
 	router       *ecoroute.Engine
 	routeQueries *obs.Counter
 

@@ -8,7 +8,8 @@ package cloud
 // road-lock hold per road group — instead of the per-request
 // lock/bump/unlock the direct path pays. Fusion output is bit-identical to
 // the direct path: within a road, queued submissions fold in FIFO arrival
-// order, which is the same Accumulator.Add order Submit would have used.
+// order, which is the same RobustAccumulator fold order Submit would have
+// used.
 //
 // The queue is also the admission controller. Enqueue never blocks: when a
 // shard's queue is full the item is shed, the handler answers 429 with
@@ -276,8 +277,9 @@ func (s *Server) collect(buf []*pendingItem, q chan *pendingItem) []*pendingItem
 //  3. one shard-lock hold releases the keys of rejected submissions so
 //     they stay retryable.
 //
-// The per-cell arithmetic is exactly Accumulator.Add in the same order the
-// direct path would have run, so the fused output is bit-identical.
+// The per-cell arithmetic is exactly RobustAccumulator.AddDeviceReport in the
+// same order the direct path would have run, so the fused output is
+// bit-identical.
 //
 // When any folded item carries a span context, the whole pass is wrapped in
 // a fold span — its own single-span trace, always kept by the tail sampler

@@ -1,14 +1,13 @@
 package ecoroute
 
 // The ecoroute benchmark family: warm point-to-point query latency (with the
-// p95 the acceptance criterion reads), cold-start cost (full cost-table +
-// landmark build), and the incremental invalidation cost after a single-road
-// re-fusion. All run on the 164.8 km Charlottesville-scale network.
+// p95 the acceptance criterion reads), cold-start cost (full cost-table build
+// and CCH customization), and the incremental invalidation cost after a
+// single-road re-fusion. All run on the 164.8 km Charlottesville-scale network.
 // scripts/bench.sh snapshots this family to BENCH_PR5.json and
 // scripts/bench_check.sh gates regressions against it.
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -39,14 +38,11 @@ func charlottesville(b *testing.B) *road.Network {
 // Pairs are confined to the strongly-connected component around dense node 0
 // (the generator can leave a few peripheral nodes unreachable).
 func benchPairs(eng *Engine, n int) [][2]int {
-	nn := len(eng.ids)
-	fwd := make([]float64, nn)
-	bwd := make([]float64, nn)
-	oneToAll(eng.outOff, eng.outArc, eng.head, eng.lengthM, 0, fwd, nil)
-	oneToAll(eng.inOff, eng.inArc, eng.tail, eng.lengthM, 0, bwd, nil)
+	fwd := reach(eng.outOff, eng.outArc, eng.head, 0)
+	bwd := reach(eng.inOff, eng.inArc, eng.tail, 0)
 	var ids []int
-	for i := 0; i < nn; i++ {
-		if !math.IsInf(fwd[i], 1) && !math.IsInf(bwd[i], 1) {
+	for i := range eng.ids {
+		if fwd[i] && bwd[i] {
 			ids = append(ids, eng.ids[i])
 		}
 	}
@@ -61,6 +57,26 @@ func benchPairs(eng *Engine, n int) [][2]int {
 		pairs[i] = [2]int{from, to}
 	}
 	return pairs
+}
+
+// reach marks the dense nodes reachable from src over one CSR direction:
+// (outOff, outArc, head) walks forward, (inOff, inArc, tail) walks the
+// reverse graph, i.e. marks the nodes src is reachable from.
+func reach(off, arcs, endpoint []int32, src int32) []bool {
+	seen := make([]bool, len(off)-1)
+	seen[src] = true
+	stack := []int32{src}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for k := off[u]; k < off[u+1]; k++ {
+			if v := endpoint[arcs[k]]; !seen[v] {
+				seen[v] = true
+				stack = append(stack, v)
+			}
+		}
+	}
+	return seen
 }
 
 // bumpSource wraps ground truth behind a controllable generation so
@@ -84,7 +100,7 @@ func (s *bumpSource) Edge(fwd, _ *road.Road) EdgeGrades {
 }
 
 // BenchmarkEcoRouteWarmQuery is the acceptance benchmark: min-fuel
-// point-to-point queries on warm cost tables and landmarks. The reported
+// point-to-point queries on warm cost tables and CCH weights. The reported
 // p95-ns metric must stay at or under 1 ms (1e6 ns).
 func BenchmarkEcoRouteWarmQuery(b *testing.B) {
 	net := charlottesville(b)
@@ -93,7 +109,7 @@ func BenchmarkEcoRouteWarmQuery(b *testing.B) {
 		b.Fatalf("engine: %v", err)
 	}
 	pairs := benchPairs(eng, 1024)
-	// Prime tables and landmarks.
+	// Prime tables and the contraction and fuel customization.
 	if _, err := eng.Route(Fuel, 40, pairs[0][0], pairs[0][1]); err != nil {
 		b.Fatalf("prime: %v", err)
 	}
@@ -116,7 +132,7 @@ func BenchmarkEcoRouteWarmQuery(b *testing.B) {
 }
 
 // BenchmarkEcoRouteWarmQueryDijkstra is the unpruned reference search on the
-// same warm tables — the denominator of the ALT speedup.
+// same warm tables — the denominator of the CCH speedup.
 func BenchmarkEcoRouteWarmQueryDijkstra(b *testing.B) {
 	net := charlottesville(b)
 	eng, err := NewEngine(net, TruthSource{}, Config{})
@@ -139,7 +155,7 @@ func BenchmarkEcoRouteWarmQueryDijkstra(b *testing.B) {
 
 // BenchmarkEcoRouteColdQuery pays the full pipeline per query: every edge's
 // stamp changes, so the cost tables re-integrate all edges and the fuel
-// landmark tables rebuild before the search runs.
+// weights re-customize before the search runs.
 func BenchmarkEcoRouteColdQuery(b *testing.B) {
 	net := charlottesville(b)
 	src := &bumpSource{stampAll: true}
@@ -161,8 +177,8 @@ func BenchmarkEcoRouteColdQuery(b *testing.B) {
 
 // BenchmarkEcoRouteInvalidate measures one incremental refresh: a single
 // road's generation bumps (as one cloud re-fusion would), so the refresh
-// scans stamps, re-integrates only that road, rebuilds the fuel landmarks,
-// and answers a query.
+// scans stamps, re-integrates only that road, re-customizes the fuel
+// weights incrementally, and answers a query.
 func BenchmarkEcoRouteInvalidate(b *testing.B) {
 	net := charlottesville(b)
 	src := &bumpSource{roadID: net.Edges[0].Road.ID()}
@@ -198,7 +214,7 @@ func BenchmarkEmissionRouteQuery(b *testing.B) {
 		b.Fatalf("engine: %v", err)
 	}
 	pairs := benchPairs(eng, 1024)
-	// Prime tables, emission rows, and NOx landmarks.
+	// Prime tables, emission rows, and NOx weights.
 	if _, err := eng.Route(NOx, 40, pairs[0][0], pairs[0][1]); err != nil {
 		b.Fatalf("prime: %v", err)
 	}

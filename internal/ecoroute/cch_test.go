@@ -42,12 +42,9 @@ func TestCCHMatchesDijkstra(t *testing.T) {
 	if err != nil {
 		t.Fatalf("network: %v", err)
 	}
-	eng, err := NewEngine(net, TruthSource{}, Config{Algorithm: AlgCCH})
+	eng, err := NewEngine(net, TruthSource{}, Config{})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
-	}
-	if eng.Algorithm() != AlgCCH {
-		t.Fatalf("Algorithm() = %q, want %q", eng.Algorithm(), AlgCCH)
 	}
 	rng := rand.New(rand.NewSource(11))
 	checked := 0
@@ -91,7 +88,7 @@ func TestCCHRecustomizeAfterTick(t *testing.T) {
 		t.Fatalf("network: %v", err)
 	}
 	src := &tickSource{roadID: net.Edges[0].Road.ID()}
-	eng, err := NewEngine(net, src, Config{Algorithm: AlgCCH})
+	eng, err := NewEngine(net, src, Config{})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -161,9 +158,7 @@ func disconnectedNet(t *testing.T) *road.Network {
 }
 
 func TestCCHNoPath(t *testing.T) {
-	eng, err := NewEngine(disconnectedNet(t), TruthSource{}, Config{
-		Algorithm: AlgCCH, SpeedsKmh: []float64{40},
-	})
+	eng, err := NewEngine(disconnectedNet(t), TruthSource{}, Config{SpeedsKmh: []float64{40}})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -184,13 +179,13 @@ func TestCCHNoPath(t *testing.T) {
 }
 
 // TestCCHMatrixMatchesPointQueries: the bucket-based many-to-many grid must
-// agree with point answers on the CCH engine, like the ALT matrix test.
+// agree with the Dijkstra reference's point answers.
 func TestCCHMatrixMatchesPointQueries(t *testing.T) {
 	net, err := road.GenerateNetwork(47, road.NetworkConfig{TargetStreetKM: 8})
 	if err != nil {
 		t.Fatalf("network: %v", err)
 	}
-	eng, err := NewEngine(net, TruthSource{}, Config{Algorithm: AlgCCH})
+	eng, err := NewEngine(net, TruthSource{}, Config{})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -236,7 +231,7 @@ func TestCCHMatrixMatchesPointQueries(t *testing.T) {
 }
 
 // TestMatrixCtxCancel: a canceled context must abort the matrix promptly with
-// the context's error instead of finishing the grid, on both engines.
+// the context's error instead of finishing the grid.
 func TestMatrixCtxCancel(t *testing.T) {
 	net, err := road.GenerateNetwork(43, road.NetworkConfig{TargetStreetKM: 40})
 	if err != nil {
@@ -246,49 +241,30 @@ func TestMatrixCtxCancel(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		nodes = append(nodes, net.Nodes[i*len(net.Nodes)/30].ID)
 	}
-	for _, alg := range []string{AlgALT, AlgCCH} {
-		eng, err := NewEngine(net, TruthSource{}, Config{Algorithm: alg})
-		if err != nil {
-			t.Fatalf("%s engine: %v", alg, err)
-		}
-		// Already-canceled context: no row may be computed.
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := eng.MatrixCtx(ctx, Fuel, 40, nodes, nodes); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s pre-canceled matrix: got %v, want context.Canceled", alg, err)
-		}
-		// Mid-run cancel: the call must return well before a full grid would.
-		ctx2, cancel2 := context.WithCancel(context.Background())
-		timer := time.AfterFunc(10*time.Millisecond, cancel2)
-		start := time.Now()
-		_, err = eng.MatrixCtx(ctx2, Fuel, 40, nodes, nodes)
-		elapsed := time.Since(start)
-		timer.Stop()
-		cancel2()
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s mid-run cancel: unexpected error %v", alg, err)
-		}
-		// err == nil means the grid beat the timer, which is fine for speed;
-		// but a canceled run must not have kept grinding for seconds.
-		if err != nil && elapsed > 2*time.Second {
-			t.Errorf("%s: canceled matrix still ran %v", alg, elapsed)
-		}
-		cancel()
+	eng, err := NewEngine(net, TruthSource{}, Config{})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
 	}
-}
-
-func TestParseAlgorithm(t *testing.T) {
-	for in, want := range map[string]string{"": AlgALT, "alt": AlgALT, "ALT": AlgALT, "cch": AlgCCH, "CCH": AlgCCH} {
-		got, err := ParseAlgorithm(in)
-		if err != nil || got != want {
-			t.Errorf("ParseAlgorithm(%q) = %q, %v; want %q", in, got, err, want)
-		}
+	// Already-canceled context: no row may be computed.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := eng.MatrixCtx(ctx, Fuel, 40, nodes, nodes); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-canceled matrix: got %v, want context.Canceled", err)
 	}
-	if _, err := ParseAlgorithm("astar"); err == nil {
-		t.Error("ParseAlgorithm(astar): want error")
+	// Mid-run cancel: the call must return well before a full grid would.
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	timer := time.AfterFunc(10*time.Millisecond, cancel2)
+	start := time.Now()
+	_, err = eng.MatrixCtx(ctx2, Fuel, 40, nodes, nodes)
+	elapsed := time.Since(start)
+	timer.Stop()
+	cancel2()
+	if err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-run cancel: unexpected error %v", err)
 	}
-	net := twoNodeNet(t, constGrades(10, 0))
-	if _, err := NewEngine(net, TruthSource{}, Config{Algorithm: "astar"}); err == nil {
-		t.Error("NewEngine with bad algorithm: want error")
+	// err == nil means the grid beat the timer, which is fine for speed;
+	// but a canceled run must not have kept grinding for seconds.
+	if err != nil && elapsed > 2*time.Second {
+		t.Errorf("canceled matrix still ran %v", elapsed)
 	}
 }

@@ -20,7 +20,6 @@ var (
 	obsSnapshotHits = obs.Default.Counter("ecoroute_snapshot_hits_total")
 	obsRefreshes    = obs.Default.Counter("ecoroute_refreshes_total")
 	obsRefreshSecs  = obs.Default.Histogram("ecoroute_refresh_seconds", obs.LatencyBuckets)
-	obsLandmarkRuns = obs.Default.Counter("ecoroute_landmark_builds_total")
 
 	obsRouteSecs = map[Objective]*obs.Histogram{
 		Distance: obs.Default.Histogram("ecoroute_route_seconds", obs.LatencyBuckets, obs.L("objective", "distance")),
@@ -50,8 +49,8 @@ func observeRoute(obj Objective) func() {
 type tables struct {
 	// gen is the source generation the snapshot reflects.
 	gen uint64
-	// version bumps whenever any edge cost actually changed; fuel-metric
-	// landmark tables are keyed to it so an unchanged refresh invalidates
+	// version bumps whenever any edge cost actually changed; grade-dependent
+	// CCH weight tables are keyed to it so an unchanged refresh invalidates
 	// nothing.
 	version uint64
 	// edgeGen[e] is the grade-data stamp edge e's costs were built from.

@@ -92,7 +92,7 @@ type CustStats struct {
 }
 
 // LastCustomization returns the most recent customization's stats. Zero
-// value until a CCH query has run (or on an ALT engine).
+// value until a routing query has run.
 func (e *Engine) LastCustomization() CustStats {
 	s := e.lastCustStats()
 	return CustStats{Full: s.full, RecomputedArcs: s.recomputedArcs, TotalArcs: s.totalArcs}
@@ -214,11 +214,19 @@ func (e *Engine) cchSpare() *cchWeights {
 	return nil
 }
 
+// weightKey identifies one customized weight table: the search metric, the
+// speed bucket, and (for grade-dependent metrics) the cost-table version the
+// weights were customized on.
+type weightKey struct {
+	metric  Objective
+	bucket  int
+	version uint64
+}
+
 // cchWeightsFor returns (customizing if needed) the weight table for a metric
-// and bucket on the given snapshot, under the same cache key discipline as
-// the ALT landmark tables: Distance ignores the bucket, Distance/Time never
-// invalidate, grade-dependent metrics (Fuel and the pollutants) are keyed to
-// the snapshot's cost version. A superseded grade-dependent table is not
+// and bucket on the given snapshot: Distance ignores the bucket,
+// Distance/Time never invalidate, grade-dependent metrics (Fuel and the
+// pollutants) are keyed to the snapshot's cost version. A superseded grade-dependent table is not
 // discarded — it seeds the incremental re-customization, then joins the
 // retired freelist so its arrays back a later customization.
 //
@@ -226,7 +234,7 @@ func (e *Engine) cchSpare() *cchWeights {
 // release() it when the search is done.
 func (e *Engine) cchWeightsFor(metric Objective, bucket int, tb *tables) *cchWeights {
 	g := e.cchGraph()
-	key := lmKey{metric: metric, bucket: bucket}
+	key := weightKey{metric: metric, bucket: bucket}
 	switch {
 	case metric == Distance:
 		key.bucket = 0 // distance costs are bucket-independent

@@ -260,9 +260,10 @@ func TestMinFuelNeverWorseThanShortest(t *testing.T) {
 	}
 }
 
-// TestBidirectionalMatchesDijkstra: the optimized search must return
-// bit-identical costs to the plain Dijkstra reference, for every objective.
-func TestBidirectionalMatchesDijkstra(t *testing.T) {
+// TestRouteMatchesDijkstra: the CCH search must return bit-identical costs
+// to the plain Dijkstra reference, for every objective at every configured
+// cruise-speed bucket.
+func TestRouteMatchesDijkstra(t *testing.T) {
 	net, err := road.GenerateNetwork(43, road.NetworkConfig{TargetStreetKM: 12})
 	if err != nil {
 		t.Fatalf("network: %v", err)
@@ -279,21 +280,23 @@ func TestBidirectionalMatchesDijkstra(t *testing.T) {
 		if from == to {
 			continue
 		}
-		for _, obj := range Objectives() {
-			fast, errF := eng.Route(obj, 40, from, to)
-			ref, errR := eng.RouteDijkstra(obj, 40, from, to)
-			if (errF == nil) != (errR == nil) {
-				t.Fatalf("%s %d→%d: search disagreement: fast err %v, reference err %v", obj, from, to, errF, errR)
-			}
-			if errF != nil {
-				if !errors.Is(errF, ErrNoPath) {
-					t.Fatalf("%s %d→%d: %v", obj, from, to, errF)
+		for _, speed := range eng.SpeedsKmh() {
+			for _, obj := range Objectives() {
+				fast, errF := eng.Route(obj, speed, from, to)
+				ref, errR := eng.RouteDijkstra(obj, speed, from, to)
+				if (errF == nil) != (errR == nil) {
+					t.Fatalf("%s@%v %d→%d: search disagreement: fast err %v, reference err %v", obj, speed, from, to, errF, errR)
 				}
-				continue
-			}
-			if fast.Cost != ref.Cost {
-				t.Errorf("%s %d→%d: bidirectional cost %.17g != Dijkstra cost %.17g",
-					obj, from, to, fast.Cost, ref.Cost)
+				if errF != nil {
+					if !errors.Is(errF, ErrNoPath) {
+						t.Fatalf("%s@%v %d→%d: %v", obj, speed, from, to, errF)
+					}
+					continue
+				}
+				if math.Float64bits(fast.Cost) != math.Float64bits(ref.Cost) {
+					t.Errorf("%s@%v %d→%d: cch cost %.17g != Dijkstra cost %.17g",
+						obj, speed, from, to, fast.Cost, ref.Cost)
+				}
 			}
 		}
 		checked++

@@ -36,7 +36,7 @@ func pollutantOf(obj Objective) (emission.Pollutant, bool) {
 }
 
 // gradeDependent reports whether a search metric's costs change when road
-// grades change — these metrics key their landmark tables and CCH weights
+// grades change — these metrics key their CCH weight tables
 // to the snapshot's cost version so a re-fusion invalidates them.
 func gradeDependent(metric Objective) bool {
 	if metric == Fuel {

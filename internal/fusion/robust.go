@@ -9,11 +9,19 @@ import (
 	"roadgrade/internal/obs"
 )
 
-// Robust-fusion instrumentation: how often the bounded-influence machinery
-// actually fired (Huber down-weighting, residual clamping, trimming) and how
-// long a robust fold takes per policy. The per-policy histograms are
-// pre-created so the Add path never builds label strings.
+// Fusion instrumentation. Every batch FuseProfiles call and every
+// accumulator rebuild is counted, so a serving deployment can verify that
+// fused reads really come from the incremental state (the batch counter must
+// stay flat while reads flow) and see how much rebuild work evictions cost.
+// The robust counters show how often the bounded-influence machinery
+// actually fired (Huber down-weighting, residual clamping, trimming), and the
+// histograms how long a fold takes per policy; they are pre-created so the
+// Add path never builds label strings.
 var (
+	obsProfileFuses = obs.Default.Counter("fusion_profile_batch_fuses_total")
+	obsAccAdds      = obs.Default.Counter("fusion_accumulator_adds_total")
+	obsAccRebuilds  = obs.Default.Counter("fusion_accumulator_rebuilds_total")
+
 	obsRobustDownweighted = obs.Default.Counter("fusion_robust_downweighted_total")
 	obsRobustClamped      = obs.Default.Counter("fusion_robust_clamped_total")
 	obsRobustTrimmed      = obs.Default.Counter("fusion_robust_trimmed_total")
@@ -31,8 +39,7 @@ type Policy string
 const (
 	// PolicyNaive is the plain inverse-variance average of Eq. (6):
 	// every submission is trusted at its reported precision, reputation
-	// and bias corrections are ignored. Bit-identical to Accumulator /
-	// FuseProfiles.
+	// and bias corrections are ignored. Bit-identical to FuseProfiles.
 	PolicyNaive Policy = "naive"
 	// PolicyHuber down-weights outlying submissions per cell with the
 	// Huber ψ-weight min(1, k/|z|) of the standardized residual z, and
@@ -234,10 +241,27 @@ func (d *DeviceState) observe(st foldStats) {
 	}
 }
 
-// RobustAccumulator is the trust-weighted generalization of Accumulator: the
-// same incremental per-cell running totals, but each submission's per-cell
-// terms are scaled by a bounded-influence weight computed against the
-// consensus at admission time:
+// RobustAccumulator maintains the cloud-stage profile fusion of FuseProfiles
+// incrementally. FuseProfiles is a per-cell precision-weighted sum
+// (Eq. (6) applied across vehicles):
+//
+//	θ̄_c = U_c Σ_k θ_k,c / P_k,c,   U_c = (Σ_k 1/P_k,c)⁻¹
+//
+// so instead of re-running the batch over every stored submission on every
+// read — O(submissions × cells) — the accumulator keeps the running totals
+// Σ 1/P_k,c (sumInv) and Σ θ_k,c/P_k,c (sumWeighted) per cell:
+//
+//   - Add folds one submission in: O(cells of that submission).
+//   - Fused materializes the fused profile from the totals: O(cells), with
+//     zero FuseProfiles calls.
+//   - When the retention window is full, accepting a new submission evicts
+//     the oldest and rebuilds the totals exactly from the retained window:
+//     O(window × cells), paid only on writes past the cap. Eviction never
+//     subtracts (floating-point subtraction would drift).
+//
+// Under a robust policy each submission's per-cell terms are scaled by a
+// bounded-influence weight computed against the consensus at admission
+// time:
 //
 //	wi[c] = ρ(device) · ψ(z[c]) · 1/Var[c]
 //	cw[c] = wi[c] · clamp(θ_sub[c] − bias, consensus ± ClampRad)
@@ -255,7 +279,9 @@ func (d *DeviceState) observe(st foldStats) {
 //
 // Under PolicyNaive the weight machinery is bypassed entirely (wi = 1/Var,
 // cw = wi·θ, no bias subtraction), so the output is bit-identical to
-// Accumulator and FuseProfiles — Float64bits-equal, asserted by tests.
+// FuseProfiles over the retained window — the per-cell additions happen in
+// the same submission order with the same association as the batch loop;
+// Float64bits-equal, asserted by tests.
 //
 // Not safe for concurrent use; callers provide locking. Added profiles are
 // retained by reference and must not be mutated afterwards.
@@ -270,6 +296,20 @@ type RobustAccumulator struct {
 	sumInv      []float64 // Σ wi[c] over the window
 	sumWeighted []float64 // Σ cw[c] over the window
 	nSub        []int32   // contributions with Var[c] > 0, for MinConsensus
+}
+
+// contribution is one retained submission with its frozen per-cell terms:
+// inv[c] = wi[c] and w[c] = cw[c] (under PolicyNaive, 1/Var[c] and
+// inv[c]·GradeRad[c], the exact values the batch loop of FuseProfiles
+// derives per read). Computing them once at Add time makes eviction rebuilds
+// pure additions — no divisions or multiplications — while staying
+// bit-identical (the same operands produce the same IEEE results no matter
+// when they are computed). Cells with Var[c] <= 0 hold zeroes and are
+// skipped at rebuild exactly as the batch loop skips them.
+type contribution struct {
+	p   *Profile
+	inv []float64
+	w   []float64
 }
 
 // NewRobustAccumulator returns an empty accumulator retaining at most
@@ -364,7 +404,7 @@ func (a *RobustAccumulator) AddDeviceReport(p *Profile, dev *DeviceState) (FoldR
 
 // newRobustContribution computes the submission's frozen per-cell terms
 // against the current consensus, plus the agreement stats for the device
-// update. Under PolicyNaive the terms are exactly newContribution's
+// update. Under PolicyNaive the terms are exactly the batch loop's
 // (inv = 1/Var, w = inv·grade) — same operands, same IEEE results.
 func (a *RobustAccumulator) newRobustContribution(p *Profile, dev *DeviceState) (contribution, foldStats) {
 	n := p.Len()
@@ -494,7 +534,7 @@ func (a *RobustAccumulator) accumulate(e contribution) {
 	if n := e.p.Len(); n > a.cells {
 		a.sumInv = growZero(a.sumInv, n)
 		a.sumWeighted = growZero(a.sumWeighted, n)
-		a.nSub = growZeroInt32(a.nSub, n)
+		a.nSub = growZero(a.nSub, n)
 		a.cells = n
 	}
 	vari := e.p.Var[:e.p.Len()]
@@ -509,9 +549,9 @@ func (a *RobustAccumulator) accumulate(e contribution) {
 }
 
 // rebuild recomputes the totals from the retained window in arrival order —
-// pure additions of the frozen per-cell terms, exactly as Accumulator.rebuild,
-// so the post-eviction state is bit-identical to replaying the retained
-// window.
+// pure additions of the frozen per-cell terms, so the post-eviction state is
+// bit-identical to replaying the retained window (under PolicyNaive, to
+// FuseProfiles over it).
 func (a *RobustAccumulator) rebuild() {
 	obsAccRebuilds.Inc()
 	a.cells = 0
@@ -522,7 +562,7 @@ func (a *RobustAccumulator) rebuild() {
 	}
 	a.sumInv = zeroed(a.sumInv, a.cells)
 	a.sumWeighted = zeroed(a.sumWeighted, a.cells)
-	a.nSub = zeroedInt32(a.nSub, a.cells)
+	a.nSub = zeroed(a.nSub, a.cells)
 	for i := range a.window {
 		e := &a.window[i]
 		vari, inv, w := e.p.Var[:e.p.Len()], e.inv, e.w
@@ -541,7 +581,8 @@ func (a *RobustAccumulator) rebuild() {
 }
 
 // Fused materializes the fused profile from the running totals: O(cells), no
-// batch fuse. Bit-identical to Accumulator.Fused under PolicyNaive.
+// batch fuse. The result is freshly allocated; under PolicyNaive it is
+// bit-identical to FuseProfiles(a.Window()).
 func (a *RobustAccumulator) Fused() (*Profile, error) {
 	if len(a.window) == 0 {
 		return nil, errors.New("fusion: no profiles")
@@ -570,29 +611,27 @@ func (a *RobustAccumulator) Fused() (*Profile, error) {
 	return out, nil
 }
 
-// growZeroInt32 extends s to length n, preserving counts and zero-filling.
-func growZeroInt32(s []int32, n int) []int32 {
+// growZero extends s to length n, preserving existing totals and zero-filling
+// the new cells.
+func growZero[T float64 | int32](s []T, n int) []T {
 	if cap(s) >= n {
 		old := len(s)
 		s = s[:n]
-		for i := old; i < n; i++ {
-			s[i] = 0
-		}
+		clear(s[old:])
 		return s
 	}
-	out := make([]int32, n)
+	out := make([]T, n)
 	copy(out, s)
 	return out
 }
 
-// zeroedInt32 returns s resized to length n with every count zero.
-func zeroedInt32(s []int32, n int) []int32 {
+// zeroed returns s resized to length n with every cell zero, reusing the
+// backing array when possible.
+func zeroed[T float64 | int32](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }

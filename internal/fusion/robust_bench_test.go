@@ -17,8 +17,8 @@ func benchSubmissions(n, cells int) []*Profile {
 	return out
 }
 
-// benchRobustAdd measures one submission fold (Accumulator.AddDevice) under
-// the given policy. The accumulator is recreated every 512 adds so memory
+// benchRobustAdd measures one submission fold (RobustAccumulator.AddDevice)
+// under the given policy. The accumulator is recreated every 512 adds so memory
 // stays bounded without paying windowed-eviction rebuilds every op — the
 // number under test is the per-submission fold itself.
 func benchRobustAdd(b *testing.B, policy Policy) {
@@ -41,24 +41,11 @@ func benchRobustAdd(b *testing.B, policy Policy) {
 	}
 }
 
-// BenchmarkFusionAccAddPlain is the PR 4 baseline: the non-robust
-// Accumulator's fold, against which the ≤3× robust-overhead criterion is
-// checked.
-func BenchmarkFusionAccAddPlain(b *testing.B) {
-	subs := benchSubmissions(64, 240)
-	var acc *Accumulator
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%512 == 0 {
-			acc = NewAccumulator(0)
-		}
-		if err := acc.Add(subs[i%len(subs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkFusionAccAddRobustNaive is the plain inverse-variance fold (the
+// weight machinery bypassed), against which the ≤3× robust-overhead criterion
+// for the Huber and trimmed policies is read; it is documented here, not
+// gated. BENCH_PR7.json records 1.87× for Huber and 1.37× for trimmed
+// (5837 and 4273 vs 3129 ns/op).
 func BenchmarkFusionAccAddRobustNaive(b *testing.B)   { benchRobustAdd(b, PolicyNaive) }
 func BenchmarkFusionAccAddRobustHuber(b *testing.B)   { benchRobustAdd(b, PolicyHuber) }
 func BenchmarkFusionAccAddRobustTrimmed(b *testing.B) { benchRobustAdd(b, PolicyTrimmed) }

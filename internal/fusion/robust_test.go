@@ -24,6 +24,43 @@ func syntheticProfile(cells int, spacing, bias, sigma float64, rng *rand.Rand) *
 	return p
 }
 
+// randomProfile builds a profile with rng-driven length, grades and
+// variances; a few cells get non-positive variance so the FuseProfiles skip
+// rule is exercised.
+func randomProfile(rng *rand.Rand, spacing float64) *Profile {
+	n := 1 + rng.Intn(40)
+	p := &Profile{
+		SpacingM: spacing,
+		S:        make([]float64, n),
+		GradeRad: make([]float64, n),
+		Var:      make([]float64, n),
+	}
+	for i := 0; i < n; i++ {
+		p.S[i] = float64(i) * spacing
+		p.GradeRad[i] = 0.1 * (rng.Float64() - 0.5)
+		p.Var[i] = 1e-5 + 1e-3*rng.Float64()
+		if rng.Intn(20) == 0 {
+			p.Var[i] = 0 // uncovered cell: batch fuse skips it
+		}
+	}
+	return p
+}
+
+// bitIdentical reports whether two profiles match bit-for-bit (NaN-safe).
+func bitIdentical(a, b *Profile) bool {
+	if a.SpacingM != b.SpacingM || a.Len() != b.Len() {
+		return false
+	}
+	for i := range a.S {
+		if math.Float64bits(a.S[i]) != math.Float64bits(b.S[i]) ||
+			math.Float64bits(a.GradeRad[i]) != math.Float64bits(b.GradeRad[i]) ||
+			math.Float64bits(a.Var[i]) != math.Float64bits(b.Var[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestRobustNaivePolicyBitIdentical is the PR 7 equivalence property: under
 // PolicyNaive (reputations all starting at 1.0 — and in fact ignored
 // entirely, so the property holds for any reputation history), the robust
@@ -318,5 +355,118 @@ func TestRobustAccumulatorValidation(t *testing.T) {
 	}
 	if got := acc.Policy().Policy; got != PolicyHuber {
 		t.Errorf("Policy() = %q", got)
+	}
+}
+
+// TestAccumulatorMatchesBatchFuse is the naive-policy equivalence property
+// for anonymous submissions: after every Add — through growth, uncovered
+// cells and windowed eviction — the fused output must be bit-identical to
+// batch FuseProfiles over the retained window, and Len must count exactly
+// the retained submissions.
+func TestAccumulatorMatchesBatchFuse(t *testing.T) {
+	for _, window := range []int{0, 1, 3, 8, 64} {
+		rng := rand.New(rand.NewSource(42))
+		acc := NewRobustAccumulator(window, FusionPolicy{Policy: PolicyNaive})
+		var all []*Profile
+		for i := 0; i < 200; i++ {
+			p := randomProfile(rng, 5)
+			if err := acc.Add(p); err != nil {
+				t.Fatalf("window %d add %d: %v", window, i, err)
+			}
+			all = append(all, p)
+			retained := all
+			if window > 0 && len(retained) > window {
+				retained = retained[len(retained)-window:]
+			}
+			if got := acc.Len(); got != len(retained) {
+				t.Fatalf("window %d: Len = %d, want %d", window, got, len(retained))
+			}
+			want, err := FuseProfiles(retained)
+			if err != nil {
+				t.Fatalf("window %d batch fuse: %v", window, err)
+			}
+			got, err := acc.Fused()
+			if err != nil {
+				t.Fatalf("window %d incremental fuse: %v", window, err)
+			}
+			if !bitIdentical(got, want) {
+				t.Fatalf("window %d after %d adds: incremental fuse diverged from batch", window, i+1)
+			}
+		}
+	}
+}
+
+func TestAccumulatorValidation(t *testing.T) {
+	acc := NewRobustAccumulator(4, FusionPolicy{Policy: PolicyNaive})
+	if _, err := acc.Fused(); err == nil {
+		t.Error("empty accumulator should refuse to fuse")
+	}
+	if err := acc.Add(nil); err == nil {
+		t.Error("nil profile should error")
+	}
+	if err := acc.Add(&Profile{SpacingM: 5}); err == nil {
+		t.Error("empty profile should error")
+	}
+	p := randomProfile(rand.New(rand.NewSource(1)), 5)
+	if err := acc.Add(p); err != nil {
+		t.Fatal(err)
+	}
+	q := randomProfile(rand.New(rand.NewSource(2)), 3)
+	if err := acc.Add(q); err == nil {
+		t.Error("spacing mismatch should error")
+	}
+	if acc.Len() != 1 {
+		t.Errorf("rejected profile must not be retained: Len = %d", acc.Len())
+	}
+	if acc.Spacing() != 5 {
+		t.Errorf("Spacing = %v, want 5", acc.Spacing())
+	}
+}
+
+func TestAccumulatorWindowShrinksCells(t *testing.T) {
+	// A long profile followed by short ones: once the long one is evicted,
+	// the fused grid must shrink back to the retained maximum, exactly as a
+	// batch fuse over the retained window would.
+	long := &Profile{SpacingM: 5, S: make([]float64, 30), GradeRad: make([]float64, 30), Var: make([]float64, 30)}
+	for i := range long.S {
+		long.S[i] = float64(i) * 5
+		long.GradeRad[i] = 0.01
+		long.Var[i] = 1e-4
+	}
+	short := &Profile{SpacingM: 5, S: []float64{0, 5}, GradeRad: []float64{0.02, 0.03}, Var: []float64{1e-4, 1e-4}}
+	acc := NewRobustAccumulator(2, FusionPolicy{Policy: PolicyNaive})
+	for _, p := range []*Profile{long, short, short} {
+		if err := acc.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := acc.Fused()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 2 {
+		t.Fatalf("cells = %d after evicting the long profile, want 2", got.Len())
+	}
+	want, err := FuseProfiles([]*Profile{short, short})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitIdentical(got, want) {
+		t.Error("post-shrink fuse diverged from batch")
+	}
+}
+
+func TestAccumulatorFusedIsFresh(t *testing.T) {
+	// Fused must hand out independent allocations: mutating one result must
+	// not corrupt a later read.
+	acc := NewRobustAccumulator(4, FusionPolicy{Policy: PolicyNaive})
+	if err := acc.Add(randomProfile(rand.New(rand.NewSource(3)), 5)); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := acc.Fused()
+	b, _ := acc.Fused()
+	a.GradeRad[0] = 99
+	if b.GradeRad[0] == 99 {
+		t.Error("Fused results share backing arrays")
 	}
 }

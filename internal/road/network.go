@@ -117,7 +117,8 @@ func (n *Network) Outgoing(id int) []*Edge {
 }
 
 // Incoming returns the edges entering node id — the reverse adjacency used
-// by backward graph searches (e.g. the bidirectional eco-router).
+// by backward graph walks (e.g. the eco-router's contraction, which needs
+// each node's undirected neighborhood).
 func (n *Network) Incoming(id int) []*Edge {
 	i := n.pos(id)
 	if i < 0 {

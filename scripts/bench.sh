@@ -10,16 +10,16 @@
 #     cost, and the warm /v1/route serving path (PR 5 baseline), and
 #   - the ingest benchmarks — per-submission cost of single-JSON vs batched
 #     JSON/binary submits, plus wire-batch decode (PR 6 baseline), and
-#   - the fusion accumulator benchmarks — plain Accumulator.Add vs the
-#     robust policies (naive/huber/trimmed) on the same workload
+#   - the fusion accumulator benchmarks — RobustAccumulator.AddDevice under
+#     the naive, huber and trimmed policies on the same workload
 #     (PR 7 baseline), and
 #   - the traced-ingest benchmarks — the mixed ingest path with tracing off,
 #     1% head-sampled, and fully sampled, interleaved round-robin and
 #     reduced to per-benchmark medians; Full vs Off is the observability
 #     overhead claim (PR 8 baseline), and
-#   - the routescale benchmarks — ALT vs CCH point queries at 1×/10×/100×
-#     the paper's network, the full vs incremental customization pair, the
-#     many-to-many matrices, and the road CSR-vs-map adjacency sweep
+#   - the routescale benchmarks — CCH point queries at 1×/10×/100× the
+#     paper's network, the full vs incremental customization pair, the
+#     many-to-many matrix, and the road CSR-vs-map adjacency sweep
 #     (PR 9 baseline; the 100× fixtures make this the slowest family), and
 #   - the emission benchmarks — the city emission table (full build,
 #     one-road incremental, warm cache hit) and the pollutant-objective
@@ -151,8 +151,8 @@ emit_json "$obsdir/median.txt" >"$out8"
 echo "wrote $out8:"
 cat "$out8"
 
-# The routescale family builds the 10× and 100× country networks and both
-# engines' preprocessed structures once per process, then times queries and
+# The routescale family builds the 10× and 100× country networks and their
+# contracted hierarchies once per process, then times queries and
 # customizations; the one-time fixtures dominate the wall clock, hence the
 # long -timeout.
 go test -run '^$' -bench 'BenchmarkRouteScale' -benchmem -timeout 30m ./internal/ecoroute ./internal/road >"$tmp"

@@ -22,7 +22,7 @@
 #                                 decode); end-to-end HTTP benches are
 #                                 noisy, so the default is looser (30)
 #   BENCH_FUSION_TOLERANCE_PCT    allowed ns/op regression for the fusion
-#                                 accumulator family (PR 7: plain vs robust
+#                                 accumulator family (PR 7: naive vs robust
 #                                 Add); the loops churn a fresh window slice
 #                                 per op and are cache-sensitive, so the
 #                                 default is looser (30)
@@ -34,7 +34,7 @@
 #                                 TracedIngestOff in the fresh measurement —
 #                                 the PR 8 acceptance bar (default 5)
 #   BENCH_ROUTESCALE_TOLERANCE_PCT  allowed ns/op regression for the
-#                                 routescale family (PR 9: ALT vs CCH at
+#                                 routescale family (PR 9: CCH at
 #                                 1×/10×/100× scale); the 100× fixtures and
 #                                 matrix benches are long-running and
 #                                 cache-sensitive, so the default is the
@@ -43,15 +43,6 @@
 #                                 100× (country-scale) graph — the PR 9
 #                                 sub-millisecond acceptance bar
 #                                 (default 1000000)
-#   ROUTESCALE_SPEEDUP_MIN        required ALT/CCH p95 ratio on 100× point
-#                                 queries — the PR 9 ≥10× claim. Tail, not
-#                                 mean: both p95s come from the same
-#                                 deterministic hardest pairs in one run,
-#                                 while ALT's mean swings several-fold with
-#                                 machine load (its search allocates ~800 KB
-#                                 per query; CCH's a few KB), and
-#                                 the serving SLO is a tail bar anyway
-#                                 (default 10)
 #   CUSTOMIZE_SPEEDUP_MIN         required full/incremental customization
 #                                 ns/op ratio after a one-road tick on the
 #                                 100× graph — the PR 9 ≥5× claim
@@ -90,7 +81,6 @@ tol8="${BENCH_OBS_TOLERANCE_PCT:-30}"
 overhead8="${OBS_OVERHEAD_PCT:-5}"
 tol9="${BENCH_ROUTESCALE_TOLERANCE_PCT:-40}"
 p95bar9="${ROUTESCALE_P95_NS:-1000000}"
-speedup9="${ROUTESCALE_SPEEDUP_MIN:-10}"
 custspeedup9="${CUSTOMIZE_SPEEDUP_MIN:-5}"
 tol10="${BENCH_EMISSION_TOLERANCE_PCT:-30}"
 p95bar10="${EMISSION_ROUTE_P95_NS:-1000000}"
@@ -254,13 +244,12 @@ END {
 ' "$tmp"
 
 # The routescale family (PR 9): regression check against the baseline, then
-# the three country-scale acceptance bars measured fresh — CCH p95 under a
-# millisecond on the 100× graph, CCH's p95 at least ROUTESCALE_SPEEDUP_MIN
-# times below ALT's there, and incremental re-customization at least
+# the two country-scale acceptance bars measured fresh — CCH p95 under a
+# millisecond on the 100× graph, and incremental re-customization at least
 # CUSTOMIZE_SPEEDUP_MIN times cheaper than a full pass.
 go test -run '^$' -bench 'BenchmarkRouteScale' -benchmem -timeout 30m -count="$count" ./internal/ecoroute ./internal/road >"$tmp"
 compare "$tmp" "$baseline9" "$tol9"
-awk -v p95bar="$p95bar9" -v qmin="$speedup9" -v cmin="$custspeedup9" '
+awk -v p95bar="$p95bar9" -v cmin="$custspeedup9" '
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
@@ -278,17 +267,14 @@ awk -v p95bar="$p95bar9" -v qmin="$speedup9" -v cmin="$custspeedup9" '
 END {
     fail = 0
     cchP95 = p95["BenchmarkRouteScaleCCHQuery100x"]
-    altP95 = p95["BenchmarkRouteScaleALTQuery100x"]
     full = best["BenchmarkRouteScaleCCHCustomizeFull100x"]
     incr = best["BenchmarkRouteScaleCCHRecustomizeTick100x"]
-    if (cchP95 == 0 || altP95 == 0 || full == 0 || incr == 0) {
+    if (cchP95 == 0 || full == 0 || incr == 0) {
         print "bench_check: routescale gates: benchmarks missing" > "/dev/stderr"
         exit 1
     }
     printf "bench_check: routescale CCH 100x p95 %.0f ns (bar %s ns)\n", cchP95, p95bar
     if (cchP95 > p95bar) { print "bench_check: FAIL (country-scale p95 above the bar)"; fail = 1 }
-    printf "bench_check: routescale ALT/CCH 100x p95 speedup %.1fx (bar %sx)\n", altP95 / cchP95, qmin
-    if (altP95 / cchP95 < qmin) { print "bench_check: FAIL (CCH speedup below the bar)"; fail = 1 }
     printf "bench_check: routescale full/incremental customization %.1fx (bar %sx)\n", full / incr, cmin
     if (full / incr < cmin) { print "bench_check: FAIL (incremental customization speedup below the bar)"; fail = 1 }
     if (fail) exit 1

@@ -20,7 +20,7 @@ go build ./...
 
 echo "== go test -race (serving concurrency gate) =="
 # The sharded cloud store, the fusion accumulator, and the eco-routing
-# engine (atomic snapshot swap + landmark cache) are the packages with real
+# engine (atomic snapshot swap + CCH weight cache) are the packages with real
 # lock hierarchies; run them first, uncached, so a data race there fails
 # fast with a focused report.
 go test -race -count=1 ./internal/cloud/... ./internal/fusion/... ./internal/ecoroute/...
@@ -60,7 +60,7 @@ echo "== go test -race (emission / pollutant routing gate) =="
 # pollutant cost rows inside the routing snapshot (sync.Once + atomic flag
 # under concurrent queries), and the generation-keyed city-table cache on the
 # cloud server; run those tests uncached so a torn row build, a stale table
-# generation, or a Dijkstra/ALT/CCH pollutant-route mismatch fails with a
+# generation, or a Dijkstra/CCH pollutant-route mismatch fails with a
 # focused report.
 go test -race -count=1 -run 'TestOpMode|TestTripEmissions|TestEmission|TestRate|TestPollutant|TestPlanEmissions|TestMinNOx|TestObjective' \
     ./internal/emission ./internal/fuel ./internal/ecoroute ./internal/cloud
